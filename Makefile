@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-calendar test-slow lint fuzz bench bench-smoke bench-ab bench-baseline bench-compare bench-parallel net-smoke net-smoke-binary population-smoke sim-parallel mega profile experiments examples all clean
+.PHONY: install test test-calendar test-slow lint fuzz perfbench bench bench-smoke bench-ab bench-baseline bench-compare bench-parallel net-smoke net-smoke-binary population-smoke sim-parallel mega profile experiments examples all clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -22,6 +22,12 @@ lint:
 
 fuzz:
 	PYTHONPATH=src python -m repro fuzz --cells 50 --seed 7 --jobs 4
+
+# The repository benchmark (perfbench/, workloads in BENCHMARK.json):
+# its own tests, then a short untraced live_hot run with every check on.
+perfbench:
+	python -m pytest perfbench/tests
+	python3 perfbench/run.py --workload live_hot --seed 1 --seconds 5 --trace 0
 
 bench:
 	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only

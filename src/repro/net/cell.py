@@ -202,7 +202,7 @@ class LiveCell:
         return self.runtimes[address]
 
     def call(self, address: str, fn: Callable[[], T]) -> "asyncio.Future[T]":
-        """Run ``fn()`` inside ``address``'s driver task; await the result.
+        """Run ``fn()`` inside a driver pass of ``address``'s runtime; await the result.
 
         This is how tests touch node state (issue an update, script a
         crash) without racing the protocol: everything that reads or

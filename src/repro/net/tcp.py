@@ -22,7 +22,9 @@ where the kind byte selects one of four frame flavours:
 
 Topology: every long-lived cell node runs a frame server; for each
 known peer a lazily-connected outbound link (an ``asyncio.Queue``
-drained by a writer task) carries this endpoint's frames.  Links are
+drained by a writer task, which also connects and negotiates) carries
+this endpoint's frames; once a binary link is open and idle, a flush
+writes its segment straight to the socket.  Links are
 full-duplex — replies may come back on the same connection — and
 inbound connections from addresses *not* in the peer directory (e.g.
 transient ``repro load`` clients, which run no server) are remembered
@@ -70,7 +72,7 @@ _LINK_QUEUE_LIMIT = 4096
 CODECS = ("json", "binary")
 
 #: Pending sends per transport that force an early flush mid-pass, so a
-#: pathological burst inside one driver iteration cannot buffer
+#: pathological burst inside one driver pass cannot buffer
 #: unboundedly before hitting the wire.
 _FLUSH_LIMIT = 128
 
@@ -232,6 +234,8 @@ class _BinLink:
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=_LINK_QUEUE_LIMIT)
         self.codec = "binary"
         self.encoder: Optional[BinaryEncoder] = None
+        #: The connection once its handshake is done (None before).
+        self.writer: Optional[asyncio.StreamWriter] = None
         self.task = asyncio.get_running_loop().create_task(
             self._run(), name=f"bin-link:{self.label}"
         )
@@ -247,37 +251,75 @@ class _BinLink:
         for _src, dst, _message in batch:
             self._transport._count_drop(dst, reason)
 
+    def write_now(self, batch: List[Tuple[Address, Address, Any]]) -> bool:
+        """Pack ``batch`` and write it straight to the open connection.
+
+        Skips the queue-and-writer-task hop when that cannot reorder or
+        overfill anything: the handshake is done, nothing is queued
+        ahead of this batch, and the socket is not above its own
+        write-buffer high-water mark.  Returns False otherwise, and the
+        caller queues the batch instead.
+        """
+        writer = self.writer
+        if writer is None or writer.is_closing() or not self.queue.empty():
+            return False
+        sock = writer.transport
+        if sock.get_write_buffer_size() > sock.get_write_buffer_limits()[1]:
+            return False
+        self._ship(writer, batch)
+        return True
+
+    def _ship(
+        self, writer: asyncio.StreamWriter, batch: List[Tuple[Address, Address, Any]]
+    ) -> bool:
+        """Pack and write one batch; False if the connection failed."""
+        packed = self._pack(batch)
+        if packed is None:
+            return True
+        frame, nframes = packed
+        try:
+            writer.write(frame)
+            # A selector transport does not raise on a failed send: it
+            # closes itself and returns, so check for that too.
+            lost = writer.is_closing()
+        except (ConnectionError, OSError):
+            lost = True
+        if lost:
+            self._drop_batch(batch, "connection lost")
+            writer.close()
+            return False
+        self._transport._wire_wrote(len(frame), frames=nframes)
+        if self.codec == "binary":
+            wire = self._transport.wire
+            wire["segments_sent"] += 1
+            wire["segment_msgs_sent"] += len(batch)
+        return True
+
     async def _run(self) -> None:
-        writer: Optional[asyncio.StreamWriter] = None
         try:
             while True:
                 batch = await self.queue.get()
                 if batch is None:
                     break
+                writer = self.writer
                 if writer is None or writer.is_closing():
-                    writer = await self._handshake()
+                    # Unset while the handshake runs, so flush() keeps
+                    # queueing behind this batch instead of writing.
+                    self.writer = None
+                    writer = self.writer = await self._handshake()
                     if writer is None:
                         self._drop_batch(batch, "connect failed")
                         continue
-                packed = self._pack(batch)
-                if packed is None:
+                if not self._ship(writer, batch):
                     continue
-                frame, nframes = packed
                 try:
-                    writer.write(frame)
                     await writer.drain()
                 except (ConnectionError, OSError):
                     self._drop_batch(batch, "connection lost")
-                    writer = None
-                    continue
-                self._transport._wire_wrote(len(frame), frames=nframes)
-                if self.codec == "binary":
-                    wire = self._transport.wire
-                    wire["segments_sent"] += 1
-                    wire["segment_msgs_sent"] += len(batch)
+                    writer.close()
         finally:
-            if writer is not None and not writer.is_closing():
-                writer.close()
+            if self.writer is not None and not self.writer.is_closing():
+                self.writer.close()
 
     async def _handshake(self) -> Optional[asyncio.StreamWriter]:
         """Connect, then negotiate this connection's codec.
@@ -764,7 +806,7 @@ class SocketTransport(Transport):
         if self._pending_count >= _FLUSH_LIMIT:
             self.flush()
         else:
-            # Sends can originate outside the driver task (tests, admin
+            # Sends can originate outside a driver pass (tests, admin
             # paths); make sure a driver pass — and therefore a flush —
             # happens promptly either way.
             self._runtime.wake()
@@ -773,9 +815,11 @@ class SocketTransport(Transport):
         """Pack buffered sends into per-endpoint segments and ship them.
 
         Called by the driver once per pass (its explicit flush bound:
-        messages never wait longer than the driver iteration that
-        produced them) and by :meth:`_defer` when a single pass buffers
-        :data:`_FLUSH_LIMIT` messages.
+        messages never wait longer than the driver pass that produced
+        them) and by :meth:`_defer` when a single pass buffers
+        :data:`_FLUSH_LIMIT` messages.  A batch for an open, idle link
+        is written at once (:meth:`_BinLink.write_now`); the link's
+        queue and writer task take the rest.
         """
         if not self._pending and not self._pending_routes:
             return
@@ -791,7 +835,7 @@ class SocketTransport(Transport):
                 link = self._bin_links.get(endpoint)
                 if link is None:
                     link = self._bin_links[endpoint] = _BinLink(self, *endpoint)
-                if not link.enqueue(batch):
+                if not link.write_now(batch) and not link.enqueue(batch):
                     link._drop_batch(batch, "link queue full")
         if self._pending_routes:
             by_conn: Dict[int, Tuple[_ConnState, List[Tuple[Address, Address, Any]]]] = {}
@@ -846,7 +890,7 @@ class SocketTransport(Transport):
         self.wire["segment_msgs_sent"] += len(items)
 
     def _deliver_now(self, src: Address, dst: Address, message: Any) -> None:
-        """Hand a queued inbound message to its node (driver task only)."""
+        """Hand a queued inbound message to its node (driver pass only)."""
         node = self.nodes.get(dst)
         if node is None or not node.up:
             self._count_drop(dst, "recipient down")

@@ -36,7 +36,6 @@ class Node:
         self.address: Address = address
         self.network: Optional["Network"] = None
         self.up: bool = True
-        self._processes: list[Process] = []
 
     # -- wiring --------------------------------------------------------------
     def attach(self, network: "Network") -> None:
@@ -51,10 +50,12 @@ class Node:
         return self.network.env
 
     def spawn(self, generator, name: Optional[str] = None) -> Process:
-        """Start a background process owned by this node."""
-        process = self.env.process(generator, name=name or f"{self.address}/proc")
-        self._processes.append(process)
-        return process
+        """Start a background process owned by this node.
+
+        The node keeps no reference to it: a finished process is
+        garbage as soon as its caller lets go of the handle.
+        """
+        return self.env.process(generator, name=name or f"{self.address}/proc")
 
     # -- messaging -------------------------------------------------------------
     def send(self, dst: Address, message: Any) -> None:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.host import AccessControlHost, DecisionReason
 from repro.core.manager import AccessControlManager
+from repro.core.messages import AppResponse
 from repro.core.policy import (
     AccessPolicy,
     ExhaustedAction,
@@ -17,6 +18,7 @@ from repro.core.wrapper import Application, ApplicationHost
 from repro.sim.clock import LocalClock
 from repro.sim.engine import Environment
 from repro.sim.network import FixedLatency, Network, UniformLatency
+from repro.sim.node import Node
 from repro.sim.partitions import ScriptedConnectivity
 from repro.sim.trace import Tracer
 
@@ -187,6 +189,28 @@ class TestWrapperEdges:
         process = system.hosts[0].request_access(APP, "u")
         system.run(until=10)
         assert process.value.reason == DecisionReason.NO_MANAGERS
+
+
+class TestUserClientTimer:
+    class Echo(Node):
+        def handle_message(self, src, message):
+            self.send(src, AppResponse(message.request_id, message.application, True))
+
+    def test_answered_invokes_leave_only_dead_timers(self, env, network):
+        from repro.core.client import UserClient
+
+        client = UserClient("c0", "u", request_timeout=5.0)
+        network.register(client)
+        network.register(self.Echo("h0"))
+        requests = [client.request("h0", APP) for _ in range(7)]
+        env.run(until=1.0)
+        assert all(request.value.allowed for request in requests)
+        before = env.dead_pops
+        env.run(until=1.0 + client.request_timeout + 1.0)
+        # The AnyOf loser-detach elides each answered request's timer:
+        # the run pops all seven dead, and none fires.
+        assert env.dead_pops - before == len(requests)
+        assert env.peek() == float("inf")
 
 
 class TestNameServiceOutage:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from typing import Any, List, Tuple
 
 import pytest
@@ -36,6 +38,29 @@ def pair(network):
     network.register(a)
     network.register(b)
     return a, b
+
+
+class TestSpawn:
+    def test_finished_spawned_process_is_collectable(self, env, network, pair):
+        a, _b = pair
+
+        class Result:
+            pass
+
+        def chore():
+            yield env.timeout(1.0)
+            return Result()
+
+        # Process has __slots__ and no weakref slot; its value lives
+        # exactly as long as the process does.
+        process = a.spawn(chore())
+        env.run()
+        ref = weakref.ref(process.value)
+        del process
+        gc.collect()
+        # The node holds no handle: once the caller drops it, a finished
+        # process is garbage, however many a long-lived node spawns.
+        assert ref() is None
 
 
 class TestDelivery:
